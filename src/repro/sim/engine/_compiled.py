@@ -25,7 +25,7 @@ import sys
 import tempfile
 import weakref
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from repro.sim.engine.batched import LockstepState
@@ -114,10 +114,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64, ptr, i32, ptr, ptr, ptr, i64, i64, i64, i64, i64, i64,
         ptr, ptr, ptr, ptr, ptr,
     ]
-    lib.repro_schedule_count.restype = None
-    lib.repro_schedule_count.argtypes = [
-        i64, ptr, ptr, ptr, ptr, ptr, ptr, i32, ptr, i64, i64, i64,
-        ptr, ptr, ptr, ptr,
+    lib.repro_round_robin.restype = None
+    lib.repro_round_robin.argtypes = [
+        i64, ptr, ptr, ptr, i32, ptr, ptr, i64, i64, i64, i64, i64,
+        ptr, ptr, ptr, ptr, ptr,
     ]
     lib.repro_fused_multitask.restype = None
     lib.repro_fused_multitask.argtypes = [
@@ -363,62 +363,104 @@ def blocks_count_compiled(
     return int(counts[0]), int(counts[1]), int(counts[2])
 
 
-def schedule_count_compiled(
-    seg_jobs: np.ndarray,
-    seg_pos: np.ndarray,
-    seg_len: np.ndarray,
-    job_offsets: np.ndarray,
-    job_lengths: np.ndarray,
-    blocks_concat: np.ndarray,
+class RoundRobinJobs:
+    """Per-job traces packed once for :func:`round_robin_compiled`.
+
+    Concatenates each job's block numbers and per-access instruction
+    costs (``gaps + 1``) in job order.  The costs are checked here,
+    once per matrix rather than once per point: a cost below 1 would
+    spin the kernel's quantum loop forever with the GIL released.  The
+    packed arrays are read-only, so the check stays true.
+    """
+
+    def __init__(
+        self, blocks: Sequence[np.ndarray], costs: Sequence[np.ndarray]
+    ) -> None:
+        lengths = [len(job_blocks) for job_blocks in blocks]
+        if not lengths or min(lengths) < 1:
+            raise ValueError("need at least one job, each non-empty")
+        if [len(job_costs) for job_costs in costs] != lengths:
+            raise ValueError(
+                "each job's cost array must match its blocks in length"
+            )
+        self.blocks = np.concatenate(blocks)
+        if self.blocks.dtype != np.int32:
+            self.blocks = self.blocks.astype(np.int64, copy=False)
+        self.costs = np.concatenate(costs).astype(np.int64, copy=False)
+        if int(self.costs.min()) < 1:
+            raise ValueError("per-access instruction costs must be >= 1")
+        self.lengths = np.array(lengths, dtype=np.int64)
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        for array in (self.blocks, self.costs, self.lengths, self.offsets):
+            array.flags.writeable = False
+
+
+def round_robin_compiled(
+    jobs: RoundRobinJobs,
     mask_table: np.ndarray,
     state: "LockstepState",
     *,
+    quantum: int,
+    budget: int,
     sets_mask: int,
     index_bits: int,
-    job_misses: np.ndarray,
-) -> None:
-    """Run a quantum schedule without materializing its access stream.
+) -> np.ndarray:
+    """Run ``MultitaskSimulator.run(quantum, budget)`` in one C call.
 
-    Segment ``s`` simulates ``seg_len[s]`` accesses of job
-    ``seg_jobs[s]``, walking that job's slice of ``blocks_concat``
-    circularly from ``seg_pos[s]`` — exactly the stream
-    ``_Schedule.access_stream`` would materialize.  Per-job misses
-    (bypasses included) accumulate into ``job_misses``.
+    The kernel walks the round-robin schedule itself: each quantum
+    runs accesses until at least ``quantum`` instructions have run,
+    cursors wrap at the end of a trace, and jobs take turns until at
+    least ``budget`` instructions have run.  Every job starts at
+    position 0 of its trace; ``state`` evolves in place.  Returns the
+    ``(jobs, 5)`` int64 counters ``instructions, accesses, misses
+    (bypasses included), wraps, quanta`` per job.
+
+    Raises:
+        ValueError: on arguments the kernel cannot run safely, before
+            anything enters C.
     """
-    lib = load()
-    if blocks_concat.dtype == np.int32:
-        blocks_native = np.ascontiguousarray(blocks_concat)
-        is32 = 1
-    else:
-        blocks_native = np.ascontiguousarray(
-            blocks_concat, dtype=np.int64
+    if quantum < 1:
+        raise ValueError(f"quantum must be >= 1, got {quantum}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    count = len(jobs.lengths)
+    if len(mask_table) != count:
+        raise ValueError(
+            f"mask table has {len(mask_table)} entries for {count} jobs"
         )
-        is32 = 0
-    seg_jobs64 = np.ascontiguousarray(seg_jobs, np.int64)
-    seg_pos64 = np.ascontiguousarray(seg_pos, np.int64)
-    seg_len64 = np.ascontiguousarray(seg_len, np.int64)
-    offsets64 = np.ascontiguousarray(job_offsets, np.int64)
-    lengths64 = np.ascontiguousarray(job_lengths, np.int64)
+    if not supports(state.ways):
+        raise ValueError(
+            f"ways must be in 1..{MAX_COMPILED_WAYS}, got {state.ways}"
+        )
+    if sets_mask < 0 or state.rows != sets_mask + 1:
+        raise ValueError(
+            f"state has {state.rows} rows, geometry {sets_mask + 1} sets"
+        )
+    lib = load()
     table64 = np.ascontiguousarray(mask_table, np.int64)
     ensure_state_native(state)
-    lib.repro_schedule_count(
-        len(seg_jobs64),
-        _addr(seg_jobs64),
-        _addr(seg_pos64),
-        _addr(seg_len64),
-        _addr(offsets64),
-        _addr(lengths64),
-        _addr(blocks_native),
-        is32,
+    cursors = np.zeros(count, dtype=np.int64)
+    counters = np.zeros((count, 5), dtype=np.int64)
+    lib.repro_round_robin(
+        count,
+        _addr(jobs.offsets),
+        _addr(jobs.lengths),
+        _addr(jobs.blocks),
+        int(jobs.blocks.dtype == np.int32),
+        _addr(jobs.costs),
         _addr(table64),
+        quantum,
+        budget,
         sets_mask,
         index_bits,
         state.ways,
         _addr(state.tags),
         _addr(state.last_use),
         _addr(state.clock),
-        _addr(job_misses),
+        _addr(cursors),
+        _addr(counters),
     )
+    return counters
 
 
 def fused_multitask_compiled(

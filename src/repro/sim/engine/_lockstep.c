@@ -139,58 +139,74 @@ repro_blocks_count(int64_t n, const void *blocks, int32_t blocks_is32,
     counts[2] += bypasses;
 }
 
-/* Fused schedule entry: simulates a round-robin quantum schedule
- * straight off the per-job block arrays, without materializing the
- * interleaved access stream.  Segment s runs seg_len[s] accesses of
- * job seg_jobs[s], walking that job's blocks circularly from
- * seg_pos[s] (matching (pos + k) % length in _Schedule.access_stream).
- * blocks is the per-job arrays concatenated in job order
- * (job_offsets / job_lengths index it).  Per-job misses (bypasses
- * included) accumulate into job_misses. */
+/* Round-robin multitasking entry: walks the whole schedule inline,
+ * with MultitaskSimulator.run semantics.  Jobs take turns in index
+ * order until at least `budget` instructions have run; a quantum runs
+ * accesses until it has executed >= `quantum` instructions (the
+ * atomic final access overshoots), and a job's cursor wraps at the
+ * end of its trace, counting a wrap.  blocks / costs are the per-job
+ * arrays concatenated in job order (job_offsets / job_lengths index
+ * them); costs[i] is access i's instructions (gap + 1) and must be
+ * >= 1, or the quantum never ends.  cursors is the walk's per-job
+ * trace position (zeroed by the caller: every job starts at access
+ * 0).  counters is (jobs, 5) and accumulates
+ * {instructions, accesses, misses (bypasses included), wraps,
+ * quanta} per job. */
 API void
-repro_schedule_count(int64_t n_segments, const int64_t *seg_jobs,
-                     const int64_t *seg_pos, const int64_t *seg_len,
-                     const int64_t *job_offsets,
-                     const int64_t *job_lengths, const void *blocks,
-                     int32_t blocks_is32, const int64_t *mask_table,
-                     int64_t sets_mask, int64_t index_bits,
-                     int64_t ways, int64_t *state_tags,
-                     int64_t *state_use, int64_t *state_clock,
-                     int64_t *job_misses)
+repro_round_robin(int64_t job_count, const int64_t *job_offsets,
+                  const int64_t *job_lengths, const void *blocks,
+                  int32_t blocks_is32, const int64_t *costs,
+                  const int64_t *mask_table, int64_t quantum,
+                  int64_t budget, int64_t sets_mask, int64_t index_bits,
+                  int64_t ways, int64_t *state_tags, int64_t *state_use,
+                  int64_t *state_clock, int64_t *cursors,
+                  int64_t *counters)
 {
     int64_t ways_mask = (int64_t)((UINT64_C(1) << ways) - 1);
     const int32_t *blocks32 = (const int32_t *)blocks;
     const int64_t *blocks64 = (const int64_t *)blocks;
-    for (int64_t s = 0; s < n_segments; s++) {
-        int64_t job = seg_jobs[s];
+    int64_t executed = 0;
+    int64_t job = 0;
+    while (executed < budget) {
         int64_t length = job_lengths[job];
         int64_t base = job_offsets[job];
-        int64_t index = seg_pos[s] % length;
-        int64_t count = seg_len[s];
+        int64_t index = cursors[job];
         int64_t mask = mask_table[job] & ways_mask;
-        int64_t misses = 0;
-        for (int64_t k = 0; k < count; k++) {
-            int64_t block = blocks_is32
-                                ? (int64_t)blocks32[base + index]
-                                : blocks64[base + index];
-            index++;
-            if (index == length)
+        int64_t ran = 0, accesses = 0, misses = 0, wraps = 0;
+        while (ran < quantum) {
+            int64_t at = base + index;
+            int64_t block =
+                blocks_is32 ? (int64_t)blocks32[at] : blocks64[at];
+            ran += costs[at];
+            accesses++;
+            if (++index == length) {
                 index = 0;
+                wraps++;
+            }
             int bypass = 0;
-            int hit = step(block & sets_mask, block >> index_bits,
-                           mask, ways, state_tags, state_use,
-                           state_clock, &bypass);
-            misses += !hit;
+            misses += !step(block & sets_mask, block >> index_bits, mask,
+                            ways, state_tags, state_use, state_clock,
+                            &bypass);
         }
-        job_misses[job] += misses;
+        int64_t *counts = counters + 5 * job;
+        counts[0] += ran;
+        counts[1] += accesses;
+        counts[2] += misses;
+        counts[3] += wraps;
+        counts[4] += 1;
+        cursors[job] = index;
+        executed += ran;
+        if (++job == job_count)
+            job = 0;
     }
 }
 
-/* Fused multi-tenant fleet entry: the same circular per-segment walk
- * as repro_schedule_count, but accumulating per-tenant HITS (the
- * fleet executor's accounting) and, when hit_flags is non-NULL,
- * writing one uint8 hit flag per access in global schedule order —
- * the stream a differential trace run replays.  A whole scheduling
+/* Fused multi-tenant fleet entry: segment s runs seg_len[s] accesses
+ * of job seg_jobs[s], walking that job's blocks circularly from
+ * seg_pos[s], and accumulates per-tenant HITS (the fleet executor's
+ * accounting).  When hit_flags is non-NULL it also writes one uint8
+ * hit flag per access in global schedule order — the stream a
+ * differential trace run replays.  A whole scheduling
  * window (or segment up to the next fleet event) runs in one call,
  * never re-entering Python per quantum. */
 API void

@@ -1,10 +1,16 @@
-"""Batched multitasking simulation: closed-form schedule + lockstep LRU.
+"""Batched multitasking simulation: round-robin schedules on the kernel.
 
 The scalar :class:`~repro.sim.multitask.MultitaskSimulator` interleaves
 per-quantum slices of each job's trace through one shared cache, which
 costs Python bookkeeping per quantum (brutal at quantum=1: one
-``searchsorted`` and one ``cache.run`` call per access).  This module
-exploits three structural facts:
+``searchsorted`` and one ``cache.run`` call per access).
+
+On the compiled backend the schedule never exists in Python: one C
+call per (variant, quantum) point walks the round-robin schedule
+inline, keeping the running instruction sum of each quantum itself
+(:func:`repro.sim.engine._compiled.round_robin_compiled`) and
+returning every job's counters.  The numpy backend cannot loop per
+access, so it exploits three structural facts instead:
 
 1. **The schedule does not depend on cache contents.**  A quantum ends
    after a fixed number of instructions, and instruction counts come
@@ -46,12 +52,7 @@ from repro.sim.engine.batched import (
     LockstepState,
     lockstep_run,
 )
-from repro.sim.multitask import (
-    Job,
-    JobResult,
-    orbit_positions as _orbit_positions,
-    quantum_tables as _quantum_tables,
-)
+from repro.sim.multitask import Job, JobResult, QuantumWalkTables
 
 #: Flush lockstep batches beyond this many buffered accesses.  Kernel
 #: wall time scales with *rounds* (the max accesses landing on one
@@ -77,7 +78,6 @@ class _BatchJob:
             blocks = blocks.astype(np.int32)
         self.blocks = blocks
         self.cum = job.trace.cumulative_instructions
-        self.total_instructions = int(self.cum[-1])
         self.mask_bits = job.mask_bits(geometry.columns)
         self.name = job.name
 
@@ -86,18 +86,6 @@ class _BatchJob:
 # Closed-form schedule (the tables themselves live in sim/multitask —
 # the fused fleet hot path consumes them too)
 # ----------------------------------------------------------------------
-def _job_quanta(
-    batch_job: _BatchJob, quantum: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Start position, accesses, instructions, wraps of the job's
-    first ``count`` quanta."""
-    next_pos, accesses, ran, wraps = _quantum_tables(
-        batch_job.cum, quantum
-    )
-    positions = _orbit_positions(next_pos, count)
-    return positions, accesses[positions], ran[positions], wraps[positions]
-
-
 class _Schedule:
     """The global round-robin schedule of one sweep point."""
 
@@ -113,29 +101,28 @@ class _Schedule:
         # the number of quanta the budget can demand.
         global_bound = -(-budget // quantum)
         per_job = -(-global_bound // job_count) + 1
-        columns = [
-            _job_quanta(batch_job, quantum, per_job)
-            for batch_job in batch_jobs
-        ]
-        ran_flat = np.column_stack(
-            [column[2] for column in columns]
-        ).ravel()
+        columns = []
+        for batch_job in batch_jobs:
+            tables = QuantumWalkTables(batch_job.cum, quantum)
+            starts = tables.orbit(0, per_job)
+            columns.append(
+                (starts, tables.accesses[starts], tables.ran[starts],
+                 tables.wraps[starts])
+            )
+        # Row r of each (per_job, jobs) matrix is round-robin round r.
+        positions, accesses, ran_flat, wraps = (
+            np.column_stack(field).ravel() for field in zip(*columns)
+        )
         executed = np.cumsum(ran_flat)
         total_quanta = int(np.searchsorted(executed, budget, "left")) + 1
         take = slice(0, total_quanta)
         self.job_ids = np.tile(
             np.arange(job_count, dtype=np.int64), per_job
         )[take]
-        self.positions = np.column_stack(
-            [column[0] for column in columns]
-        ).ravel()[take]
-        self.accesses = np.column_stack(
-            [column[1] for column in columns]
-        ).ravel()[take]
+        self.positions = positions[take]
+        self.accesses = accesses[take]
         self.ran = ran_flat[take]
-        self.wraps = np.column_stack(
-            [column[3] for column in columns]
-        ).ravel()[take]
+        self.wraps = wraps[take]
         self.total_accesses = int(self.accesses.sum())
 
     def access_stream(
@@ -341,92 +328,62 @@ def _simulate_matrix_compiled(
     budget_instructions: int,
     warmup_passes: int,
 ) -> list[list[dict[str, JobResult]]]:
-    """Matrix fast path on the compiled kernel: fused schedule walk.
+    """Matrix fast path on the compiled kernel: in-kernel schedule walk.
 
-    Instead of materializing each quantum's interleaved access stream
-    and buffering (rows, tags, masks) columns for a stacked lockstep
-    call, the C kernel walks the schedule's quantum segments directly
-    over the concatenated per-job block arrays — zero stream
-    assembly, one call per (variant, quantum).  The warm-up runs
-    through the same entry as one wrap-around segment per job, which
-    reproduces ``_warmup_stream``'s tiling exactly.  Results are
-    bit-identical to the numpy path (the schedule, and therefore each
-    set's access order, is the same).
+    No schedule is built in Python: the C kernel keeps the running
+    instruction sum itself, so each (variant, quantum) point is one
+    call over the per-job traces packed once for the whole matrix.
+    Each variant warms once (job order, ``warmup_passes`` passes under
+    the job's mask, as ``_warmup_stream`` orders it) and every point
+    starts from a copy of that state.  Results are bit-identical to
+    the numpy path and the scalar simulator.
     """
     base_jobs = batch_lists[0]
-    job_count = len(base_jobs)
-    job_lengths = np.array(
-        [len(batch_job.blocks) for batch_job in base_jobs],
-        dtype=np.int64,
+    packed = _compiled.RoundRobinJobs(
+        [batch_job.blocks for batch_job in base_jobs],
+        [np.diff(batch_job.cum, prepend=0) for batch_job in base_jobs],
     )
-    job_offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(job_lengths)[:-1])
-    )
-    blocks_concat = np.concatenate(
-        [batch_job.blocks for batch_job in base_jobs]
-    )
-    schedules = [
-        _Schedule(base_jobs, int(quantum), int(budget_instructions))
-        for quantum in quanta
-    ]
-    warm_seg_jobs = np.arange(job_count, dtype=np.int64)
-    warm_seg_pos = np.zeros(job_count, dtype=np.int64)
-    warm_seg_len = job_lengths * np.int64(warmup_passes)
     results: list[list[dict[str, JobResult]]] = []
-    for variant_index, (geometry, _jobs) in enumerate(variants):
+    for (geometry, _jobs), batch_jobs, mask_table in zip(
+        variants, batch_lists, mask_tables
+    ):
         sets_mask = geometry.sets - 1
-        index_bits = geometry.index_bits
-        mask_table = np.ascontiguousarray(
-            mask_tables[variant_index], dtype=np.int64
-        )
         warm = LockstepState.cold(geometry.sets, geometry.columns)
-        if warmup_passes:
-            _compiled.schedule_count_compiled(
-                warm_seg_jobs,
-                warm_seg_pos,
-                warm_seg_len,
-                job_offsets,
-                job_lengths,
-                blocks_concat,
-                mask_table,
-                warm,
-                sets_mask=sets_mask,
-                index_bits=index_bits,
-                job_misses=np.zeros(job_count, dtype=np.int64),
-            )
+        for batch_job in batch_jobs:
+            for _ in range(warmup_passes):
+                _compiled.blocks_count_compiled(
+                    batch_job.blocks,
+                    warm,
+                    sets_mask=sets_mask,
+                    index_bits=geometry.index_bits,
+                    uniform_mask=batch_job.mask_bits,
+                )
         variant_results = []
-        for schedule in schedules:
+        for quantum in quanta:
             state = LockstepState(
                 tags=warm.tags.copy(),
                 last_use=warm.last_use.copy(),
                 clock=warm.clock.copy(),
             )
-            job_misses = np.zeros(job_count, dtype=np.int64)
-            _compiled.schedule_count_compiled(
-                schedule.job_ids,
-                schedule.positions,
-                schedule.accesses,
-                job_offsets,
-                job_lengths,
-                blocks_concat,
+            counters = _compiled.round_robin_compiled(
+                packed,
                 mask_table,
                 state,
+                quantum=int(quantum),
+                budget=int(budget_instructions),
                 sets_mask=sets_mask,
-                index_bits=index_bits,
-                job_misses=job_misses,
+                index_bits=geometry.index_bits,
             )
-            accesses = np.bincount(
-                schedule.job_ids,
-                weights=schedule.accesses,
-                minlength=job_count,
-            ).astype(np.int64)
             variant_results.append(
-                _results_for_point(
-                    batch_lists[variant_index],
-                    schedule,
-                    accesses,
-                    job_misses,
-                )
+                {
+                    batch_job.name: JobResult(
+                        batch_job.name, ran, accesses, accesses - misses,
+                        misses, wraps, quanta_run,
+                    )
+                    for batch_job, (
+                        ran, accesses, misses, wraps, quanta_run
+                    ) in zip(batch_jobs, counters.tolist())
+                }
             )
         results.append(variant_results)
     return results
@@ -449,16 +406,16 @@ def simulate_multitask_matrix(
     ``variants`` are (geometry, jobs) pairs that must share the same
     job names, traces, address offsets and line size — they may differ
     in cache size, column count and column masks (Figure 5's
-    shared/mapped x 16K/128K matrix).  The schedule and interleaved
-    access stream of each quantum are computed once and reused by
-    every variant; same-associativity points are stacked into shared
-    lockstep calls.
+    shared/mapped x 16K/128K matrix).  On the numpy backend the
+    schedule and interleaved access stream of each quantum are
+    computed once and reused by every variant; same-associativity
+    points are stacked into shared lockstep calls.
 
     ``kernel`` selects the lockstep backend for this matrix
     (``"numpy"`` / ``"compiled"`` / ``"auto"``; None follows the
-    session's active backend).  On the compiled backend the matrix
-    takes a fused fast path — the C kernel walks the schedule
-    directly, no access stream is materialized — with bit-identical
+    session's active backend).  On the compiled backend each point is
+    one kernel call that walks the round-robin schedule itself — no
+    schedule or access stream is built in Python — with bit-identical
     results.
 
     Returns ``results[variant_index][quantum_index]``, each entry

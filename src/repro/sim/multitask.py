@@ -17,11 +17,13 @@ number of instructions and instruction counts come from the trace
 alone, where every quantum starts and stops is a pure function of
 (traces, quantum, budget) — no cache state involved.
 :func:`quantum_tables` computes one quantum from *every* start
-position at once, :func:`orbit_positions` unrolls the successor map,
-and :func:`quantum_schedule` assembles a whole round-robin scheduling
-window (with exact, instruction-precise budget boundaries) that the
-batched sweep engine (:mod:`repro.sim.engine.multitask_batch`) and the
-fused fleet hot path (:mod:`repro.sim.engine.fused`) both consume.
+position at once, :meth:`QuantumWalkTables.orbit` unrolls the
+successor map, and :func:`quantum_schedule` assembles a whole
+round-robin scheduling window (with exact, instruction-precise budget
+boundaries) for the fused fleet hot path
+(:mod:`repro.sim.engine.fused`).  The numpy path of the batched sweep
+engine (:mod:`repro.sim.engine.multitask_batch`) unrolls the same
+tables.
 """
 
 from __future__ import annotations
@@ -103,26 +105,6 @@ def quantum_tables(
     return next_pos.astype(np.int64), accesses, ran, wraps
 
 
-def orbit_positions(
-    next_pos: np.ndarray, count: int, start: int = 0
-) -> np.ndarray:
-    """The successor map's first ``count`` orbit positions.
-
-    Binary doubling: a length-``m`` prefix extends to ``2m`` by
-    applying the composed map ``next^m`` to itself, so this is
-    O(count + n log count) vectorized gathers instead of a Python
-    pointer chase — repeats in the orbit are simply carried along, no
-    cycle bookkeeping needed.
-    """
-    sequence = np.array([start], dtype=np.int64)
-    jump = next_pos  # next^(2^k), composed as the prefix doubles
-    while len(sequence) < count:
-        sequence = np.concatenate((sequence, jump[sequence]))
-        if len(sequence) < count:
-            jump = jump[jump]
-    return sequence[:count]
-
-
 class QuantumWalkTables:
     """Memoized closed-form tables for one ``(trace, quantum)`` pair.
 
@@ -149,9 +131,12 @@ class QuantumWalkTables:
     def orbit(self, start: int, count: int) -> np.ndarray:
         """First ``count`` orbit positions from ``start``.
 
-        Same binary doubling as :func:`orbit_positions`, but the
-        composed ``next^(2^k)`` maps persist across calls, so repeat
-        windows skip the O(trace) ``jump[jump]`` compositions.
+        Binary doubling: a length-``m`` prefix extends to ``2m`` by
+        applying the composed map ``next^m`` to it, so this is
+        O(count + n log count) vectorized gathers instead of a Python
+        pointer chase.  The composed ``next^(2^k)`` maps persist
+        across calls, so repeat windows skip the O(trace)
+        compositions.
         """
         out = np.empty(count, dtype=np.int64)
         out[0] = start
@@ -452,9 +437,6 @@ class _JobState:
         ).tolist()
         # cumulative[i] = instructions contributed by accesses 0..i.
         self.cumulative = job.trace.cumulative_instructions
-        self.total_instructions = int(self.cumulative[-1]) if len(
-            self.cumulative
-        ) else 0
         self.mask_bits = 0  # filled by the simulator
         self.position = 0
         self.result = JobResult(name=job.name)
